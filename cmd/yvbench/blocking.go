@@ -111,9 +111,7 @@ func runBlockingBench(path string) error {
 	})
 
 	// Block materialization: the merge-based scorer in isolation, then
-	// the full buildBlocks loop with the cross-iteration cache off and
-	// on (the cached entry measures the steady-state hit path — the
-	// cache persists across b.N iterations).
+	// the full buildBlocks pool.
 	bbCfg := mfiblocks.NewConfig()
 	bbCfg.Workers = 1
 	bb, err := mfiblocks.NewBlockBench(bbCfg, coll, minsup)
@@ -127,16 +125,10 @@ func runBlockingBench(path string) error {
 			bb.Score(members)
 		}
 	})
-	add("build_blocks/cache=off", 1, func(b *testing.B) {
+	add("build_blocks", 1, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bb.BuildBlocks(false)
-		}
-	})
-	add("build_blocks/cache=on", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bb.BuildBlocks(true)
+			bb.BuildBlocks()
 		}
 	})
 

@@ -34,24 +34,31 @@ func rowTracePath(base string, n int, multi bool) string {
 	return strings.TrimSuffix(base, ext) + "-" + strconv.Itoa(n) + ext
 }
 
-// gitCommit stamps report rows with the short commit hash of the tree
-// the benchmark ran from; empty (and omitted from the JSON) outside a
-// git checkout or without git on PATH.
+// gitCommit stamps report rows with the full commit hash of the tree
+// the benchmark ran from, suffixed "-dirty" when the working tree has
+// uncommitted changes or its status cannot be read (the row may then
+// have measured code no commit holds); empty (and omitted from the JSON) outside a git checkout or without
+// git on PATH.
 func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(string(out))
+	status, err := exec.Command("git", "status", "--porcelain").Output()
+	if err != nil || len(bytes.TrimSpace(status)) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 // e2eBenchSchemaVersion identifies the BENCH_e2e.json layout; bump on any
 // field removal or rename.
-const e2eBenchSchemaVersion = 1
+const e2eBenchSchemaVersion = 2
 
 // e2eBenchReport is the machine-readable end-to-end benchmark emitted by
 // -bench-e2e: the full streaming pipeline (windowed .yvst ingest,
-// signature-sharded blocking, disk-spilled candidate scoring, ranking)
+// mining-sharded blocking, disk-spilled candidate scoring, ranking)
 // at each requested corpus size. Every row is measured in a fresh child
 // process so peak_rss_bytes is the pipeline's real high-water mark, not
 // the parent's dataset generator.
@@ -64,10 +71,8 @@ type e2eBenchReport struct {
 
 type e2eBenchRow struct {
 	Records        int            `json:"records"`
-	Shards         int            `json:"shards"`
 	MineShards     int            `json:"mine_shards"`
 	Workers        int            `json:"workers"`
-	BlockCache     int            `json:"block_cache"`
 	GoMaxProcs     int            `json:"gomaxprocs"`
 	GoVersion      string         `json:"go_version"`
 	GitCommit      string         `json:"git_commit,omitempty"`
@@ -102,7 +107,7 @@ type e2eChildResult struct {
 // e2eStreamOptions is the one pipeline configuration both the child and
 // any in-process caller run: the bounded-memory streaming defaults over
 // the random-set gazetteer.
-func e2eStreamOptions(shards, mineShards, workers, blockCache int) core.StreamOptions {
+func e2eStreamOptions(mineShards, workers int) core.StreamOptions {
 	opts := core.StreamOptions{Options: core.Options{
 		Blocking:   mfiblocks.NewConfig(),
 		Preprocess: true,
@@ -111,10 +116,8 @@ func e2eStreamOptions(shards, mineShards, workers, blockCache int) core.StreamOp
 		Workers:    workers,
 	}}
 	opts.Blocking.Workers = workers
-	opts.Blocking.Shards = shards
 	opts.Blocking.MineShards = mineShards
 	opts.Blocking.SpillPairs = spill.DefaultCap
-	opts.Blocking.BlockCache = blockCache
 	return opts
 }
 
@@ -129,10 +132,10 @@ func maxrssBytes(maxrss int64) int64 {
 }
 
 // runE2EChild is the measured half of -bench-e2e: stream the .yvst at
-// path through the sharded spilled pipeline and print the counters as
-// JSON. It runs in its own process so the parent can read the kernel's
-// peak-RSS accounting for exactly this work.
-func runE2EChild(path string, shards, mineShards, workers, blockCache int, traceOut string) error {
+// path through the mining-sharded spilled pipeline and print the
+// counters as JSON. It runs in its own process so the parent can read
+// the kernel's peak-RSS accounting for exactly this work.
+func runE2EChild(path string, mineShards, workers int, traceOut string) error {
 	if workers > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(workers)
 	}
@@ -142,13 +145,13 @@ func runE2EChild(path string, shards, mineShards, workers, blockCache int, trace
 	}
 	defer src.Close()
 
-	opts := e2eStreamOptions(shards, mineShards, workers, blockCache)
+	opts := e2eStreamOptions(mineShards, workers)
 	if traceOut != "" {
 		opts.Trace = trace.New()
 		opts.Trace.StartSampler(0)
 	}
 	// Live progress on stderr (stdout carries the JSON result): stage,
-	// records/sec, shard completion, ETA, every few seconds.
+	// records/sec, ETA, every few seconds.
 	opts.Progress = &trace.Progress{W: os.Stderr}
 	opts.Progress.Start()
 	res, err := core.RunStream(opts, src)
@@ -218,7 +221,7 @@ func e2eCorpus(dir string, n int) (string, error) {
 // to path. maxRSSMB > 0 turns the report into a gate: any row whose
 // measured peak RSS exceeds the ceiling fails the run (the CI smoke
 // test's memory-boundedness check).
-func runE2EBench(path, recordsCSV string, shards, mineShards, workers, blockCache, maxRSSMB int, traceOut string) error {
+func runE2EBench(path, recordsCSV string, mineShards, workers, maxRSSMB int, traceOut string) error {
 	var sizes []int
 	for _, f := range strings.Split(recordsCSV, ",") {
 		f = strings.TrimSpace(f)
@@ -255,15 +258,13 @@ func runE2EBench(path, recordsCSV string, shards, mineShards, workers, blockCach
 		if err != nil {
 			return err
 		}
-		fmt.Printf("bench-e2e: running pipeline over %s (shards=%d mine-shards=%d workers=%d block-cache=%d)...\n",
-			filepath.Base(corpus), shards, mineShards, workers, blockCache)
+		fmt.Printf("bench-e2e: running pipeline over %s (mine-shards=%d workers=%d)...\n",
+			filepath.Base(corpus), mineShards, workers)
 
 		args := []string{
 			"-e2e-child", corpus,
-			"-e2e-shards", strconv.Itoa(shards),
 			"-e2e-mine-shards", strconv.Itoa(mineShards),
 			"-e2e-workers", strconv.Itoa(workers),
-			"-block-cache", strconv.Itoa(blockCache),
 		}
 		if traceOut != "" {
 			args = append(args, "-e2e-trace-out", rowTracePath(traceOut, n, len(sizes) > 1))
@@ -291,10 +292,8 @@ func runE2EBench(path, recordsCSV string, shards, mineShards, workers, blockCach
 		}
 		row := e2eBenchRow{
 			Records:        n,
-			Shards:         shards,
 			MineShards:     mineShards,
 			Workers:        workers,
-			BlockCache:     blockCache,
 			GoMaxProcs:     child.GoMaxProcs,
 			GoVersion:      child.GoVersion,
 			GitCommit:      gitCommit(),

@@ -5,7 +5,7 @@
 //	yvbench [-scale quick|full] [-list] [-report out.json] [-v] [exp ...]
 //	yvbench -bench-blocking out.json
 //	yvbench -bench-scoring out.json
-//	yvbench -bench-e2e out.json [-e2e-records 100000,1000000] [-e2e-shards n] [-e2e-mine-shards n] [-e2e-workers n] [-e2e-max-rss-mb n] [-e2e-trace-out t.json]
+//	yvbench -bench-e2e out.json [-e2e-records 100000,1000000] [-e2e-mine-shards n] [-e2e-workers n] [-e2e-max-rss-mb n] [-e2e-trace-out t.json]
 //
 // With no experiment ids, every experiment runs in paper order. Use -list
 // to enumerate the available ids. -report writes the accumulated
@@ -18,7 +18,7 @@
 // similarity kernels (string tier and interned-ID tier), profile
 // construction, profiled extraction with the memo cache off and on, and
 // the end-to-end scoring stage at two worker counts. -bench-e2e measures
-// the full streaming pipeline (windowed .yvst ingest, signature-sharded
+// the full streaming pipeline (windowed .yvst ingest, mining-sharded
 // blocking, disk-spilled scoring, ranking) at each -e2e-records corpus
 // size, re-execing itself per row so peak RSS is the pipeline's own
 // high-water mark; -e2e-max-rss-mb turns the report into a CI gate.
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/mfiblocks"
 	"repro/internal/telemetry"
 )
 
@@ -44,10 +43,8 @@ func main() {
 	benchScoring := flag.String("bench-scoring", "", "benchmark the pair-scoring kernels and stage and write the JSON report to this file, then exit")
 	benchE2E := flag.String("bench-e2e", "", "benchmark the streaming pipeline end-to-end and write the JSON report to this file, then exit")
 	e2eRecords := flag.String("e2e-records", "100000,1000000", "comma-separated corpus sizes (records) for -bench-e2e")
-	e2eShards := flag.Int("e2e-shards", 8, "blocking shards for -bench-e2e rows")
 	e2eMineShards := flag.Int("e2e-mine-shards", 8, "shard-local MFI miners for -bench-e2e rows (0 or 1 = one mining pass)")
 	e2eWorkers := flag.Int("e2e-workers", 8, "pipeline workers for -bench-e2e rows")
-	blockCache := flag.Int("block-cache", mfiblocks.DefaultBlockCache, "cross-iteration block materialization cache entries for -bench-e2e rows (0 disables)")
 	e2eMaxRSSMB := flag.Int("e2e-max-rss-mb", 0, "fail -bench-e2e if any row's peak RSS exceeds this many MiB (0 = no ceiling)")
 	e2eTraceOut := flag.String("e2e-trace-out", "", "write each -bench-e2e row's trace (Chrome trace-event JSON) to this file (multi-size runs suffix the record count)")
 	e2eChild := flag.String("e2e-child", "", "internal: stream this .yvst through the pipeline, print JSON counters, and exit")
@@ -56,14 +53,14 @@ func main() {
 	telemetry.SetVerbose(*verbose)
 
 	if *e2eChild != "" {
-		if err := runE2EChild(*e2eChild, *e2eShards, *e2eMineShards, *e2eWorkers, *blockCache, *e2eTraceOut); err != nil {
+		if err := runE2EChild(*e2eChild, *e2eMineShards, *e2eWorkers, *e2eTraceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "yvbench: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *benchE2E != "" {
-		if err := runE2EBench(*benchE2E, *e2eRecords, *e2eShards, *e2eMineShards, *e2eWorkers, *blockCache, *e2eMaxRSSMB, *e2eTraceOut); err != nil {
+		if err := runE2EBench(*benchE2E, *e2eRecords, *e2eMineShards, *e2eWorkers, *e2eMaxRSSMB, *e2eTraceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "yvbench: %v\n", err)
 			os.Exit(1)
 		}

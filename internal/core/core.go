@@ -75,8 +75,8 @@ type Options struct {
 	// tracer survives on Resolution.Trace for the Chrome export. Nil
 	// disables tracing at one nil check per span site.
 	Trace *trace.Tracer
-	// Progress, when set, receives live stage transitions, item counts,
-	// and shard completions. Callers own Start/Stop. Nil disables.
+	// Progress, when set, receives live stage transitions and item
+	// counts. Callers own Start/Stop. Nil disables.
 	Progress *trace.Progress
 }
 
@@ -216,8 +216,8 @@ func wireDefaults(opts *Options, reg *telemetry.Registry) {
 	}
 	if opts.Blocking.Progress == nil {
 		// One progress hook for the whole pipeline: the blocking stage
-		// posts covered-record counts and shard completions to the same
-		// sink the ingest and scoring stages use.
+		// posts covered-record counts to the same sink the ingest and
+		// scoring stages use.
 		opts.Blocking.Progress = opts.Progress
 	}
 }
@@ -422,13 +422,9 @@ func blockingReport(blk *mfiblocks.Result) *telemetry.BlockingReport {
 		}
 	}
 	br := &telemetry.BlockingReport{
-		Blocks:         len(blk.Blocks),
-		Pairs:          len(blk.Pairs),
-		Covered:        covered,
-		CacheHits:      blk.Cache.Hits,
-		CacheMisses:    blk.Cache.Misses,
-		CacheEvictions: blk.Cache.Evictions,
-		CacheEntries:   blk.Cache.Entries,
+		Blocks:  len(blk.Blocks),
+		Pairs:   len(blk.Pairs),
+		Covered: covered,
 	}
 	for _, it := range blk.Iterations {
 		br.Iterations = append(br.Iterations, telemetry.IterationReport{
@@ -515,12 +511,17 @@ func scorePairs(opts *Options, work *record.Collection, blk *mfiblocks.Result, c
 		return st
 	}
 
-	t0 := time.Now()
-	psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
-		Attr("records", int64(work.Len()))
-	profs := cache.Build(work, workers)
-	psp.End()
-	reg.Timer("core_profile_build_seconds").Observe(time.Since(t0))
+	// Profiles feed only model extraction: without a model no pair is
+	// ever extracted, so building them would be pure waste.
+	var profs []*features.Profile
+	if opts.Model != nil {
+		t0 := time.Now()
+		psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
+			Attr("records", int64(work.Len()))
+		profs = cache.Build(work, workers)
+		psp.End()
+		reg.Timer("core_profile_build_seconds").Observe(time.Since(t0))
+	}
 
 	pairs := blk.Pairs
 	numChunks := (len(pairs) + scoreChunkSize - 1) / scoreChunkSize

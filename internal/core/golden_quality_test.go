@@ -61,9 +61,9 @@ func TestGoldenEndToEndQuality(t *testing.T) {
 		t.Errorf("f1 %.4f below golden floor %.2f", m.F1, goldenMinF1)
 	}
 
-	// The streaming sharded path must land on the exact same metrics.
+	// The streaming mining-sharded path must land on the exact same metrics.
 	sopts := StreamOptions{Options: opts, RetainRecords: true}
-	sopts.Blocking.Shards = 4
+	sopts.Blocking.MineShards = 4
 	sopts.Blocking.SpillPairs = 256
 	sopts.Blocking.SpillDir = t.TempDir()
 	sres, err := RunStream(sopts, NewCollectionSource(gen.Collection))

@@ -80,6 +80,32 @@ func TestRunWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// TestModelLessRunBuildsNoProfiles pins that parallel scoring without a
+// model skips the profile build: profiles feed only model extraction,
+// so building them would be waste, and the ranked matches stay those of
+// the serial run.
+func TestModelLessRunBuildsNoProfiles(t *testing.T) {
+	fx := newFixture(t, 200)
+	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz, SameSrc: true}
+	opts.Workers = 1
+	ref, err := Run(opts, fx.gen.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 2
+	got, err := Run(opts, fx.gen.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Report.Scoring.ProfilesBuilt; n != 0 {
+		t.Fatalf("model-less run built %d profiles, want 0", n)
+	}
+	if len(got.Matches) == 0 {
+		t.Fatal("fixture produced no matches")
+	}
+	assertRunsEqual(t, "model-less workers=2", ref, got)
+}
+
 // TestScorePairSpillMode is the regression test for /api/pair under
 // -spill-pairs: spilling never builds Blocking.PairScores, so ScorePair
 // must recover each candidate's block score from the lazy pair index

@@ -53,12 +53,11 @@ func assertResolutionsMatch(t *testing.T, label string, want, got *Resolution) {
 	}
 }
 
-// TestStreamShardEquivalence is the harness the tentpole is locked down
-// by: the streaming sharded pipeline — windowless ingest, signature-
-// sharded block materialization, shard-local MFI mining, disk-spilled
-// candidates, skeleton records — must reproduce the monolithic batch
-// Run bit-for-bit across the shards × mining-shards × workers matrix on
-// multiple seeds. The spill cap is forced tiny so every cell actually
+// TestStreamShardEquivalence locks down the streaming pipeline —
+// windowless ingest, shard-local MFI mining, disk-spilled candidates,
+// skeleton records — which must reproduce the monolithic batch Run
+// bit-for-bit across the mining-shards × workers matrix on multiple
+// seeds. The spill cap is forced tiny so every cell actually
 // exercises the disk-merge path (and, since spilling enables the async
 // emitter, the overlapped emission path too).
 func TestStreamShardEquivalence(t *testing.T) {
@@ -80,48 +79,22 @@ func TestStreamShardEquivalence(t *testing.T) {
 			t.Fatal("baseline produced no matches")
 		}
 
-		for _, shards := range []int{1, 2, 8} {
-			for _, workers := range []int{1, 8} {
-				for _, mineShards := range []int{1, 4, 8} {
-					label := fmt.Sprintf("seed=%d shards=%d mineShards=%d workers=%d", d.seed, shards, mineShards, workers)
-					opts := StreamOptions{Options: base}
-					opts.Workers = workers
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					got, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got.Blocking.Spill.Stats().Runs == 0 {
-						t.Fatalf("%s: spill cap 64 never spilled; harness is not exercising the merge", label)
-					}
-					assertResolutionsMatch(t, label, want, got)
+		for _, workers := range []int{1, 8} {
+			for _, mineShards := range []int{1, 4, 8} {
+				label := fmt.Sprintf("seed=%d mineShards=%d workers=%d", d.seed, mineShards, workers)
+				opts := StreamOptions{Options: base}
+				opts.Workers = workers
+				opts.Blocking.MineShards = mineShards
+				opts.Blocking.SpillPairs = 64
+				opts.Blocking.SpillDir = t.TempDir()
+				got, err := RunStream(opts, NewCollectionSource(g.Collection))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-			}
-		}
-
-		// Block-cache dimension: off, a tiny eviction-churning bound, and
-		// the CLI default must all reproduce the cache-less baseline
-		// bit-for-bit, composed with shard and mining fan-out.
-		for _, blockCache := range []int{0, 64, mfiblocks.DefaultBlockCache} {
-			for _, shards := range []int{1, 4} {
-				for _, mineShards := range []int{1, 4} {
-					label := fmt.Sprintf("seed=%d cache=%d shards=%d mineShards=%d", d.seed, blockCache, shards, mineShards)
-					opts := StreamOptions{Options: base}
-					opts.Workers = 8
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.BlockCache = blockCache
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					got, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertResolutionsMatch(t, label, want, got)
+				if got.Blocking.Spill.Stats().Runs == 0 {
+					t.Fatalf("%s: spill cap 64 never spilled; harness is not exercising the merge", label)
 				}
+				assertResolutionsMatch(t, label, want, got)
 			}
 		}
 	}
@@ -140,7 +113,7 @@ func TestStreamRetainRecordsFullEquivalence(t *testing.T) {
 	}
 
 	opts := StreamOptions{Options: base, RetainRecords: true}
-	opts.Blocking.Shards = 4
+	opts.Blocking.MineShards = 4
 	opts.Blocking.SpillPairs = 128
 	opts.Blocking.SpillDir = t.TempDir()
 	got, err := RunStream(opts, NewCollectionSource(g.Collection))
@@ -154,8 +127,8 @@ func TestStreamRetainRecordsFullEquivalence(t *testing.T) {
 }
 
 // tieHeavyRecords builds groups of byte-identical records so block
-// scores collide massively — candidate ties land on shard boundaries and
-// in the same spill windows, the worst case for merge determinism.
+// scores collide massively — candidate ties straddle mining-shard
+// boundaries and land in the same spill windows, the worst case for merge determinism.
 func tieHeavyRecords(t *testing.T) *record.Collection {
 	t.Helper()
 	var records []*record.Record
@@ -180,9 +153,9 @@ func tieHeavyRecords(t *testing.T) *record.Collection {
 }
 
 // TestStreamDeterministicUnderShardBoundaryTies runs the tie-heavy
-// fixture through the sharded spilled pipeline twice (and against the
-// batch baseline): identical output every time, or the shard merge has a
-// tie leak.
+// fixture through the mining-sharded spilled pipeline three times (and
+// against the batch baseline): identical output every time, or the shard
+// merge has a tie leak.
 func TestStreamDeterministicUnderShardBoundaryTies(t *testing.T) {
 	coll := tieHeavyRecords(t)
 	blocking := mfiblocks.NewConfig()
@@ -199,7 +172,6 @@ func TestStreamDeterministicUnderShardBoundaryTies(t *testing.T) {
 	var first *Resolution
 	for run := 0; run < 3; run++ {
 		opts := StreamOptions{Options: base}
-		opts.Blocking.Shards = 8
 		opts.Blocking.MineShards = 4
 		opts.Blocking.SpillPairs = 16
 		opts.Blocking.SpillDir = t.TempDir()
@@ -248,7 +220,7 @@ func TestStreamValidation(t *testing.T) {
 
 // TestStreamFromStore drives RunStream from an actual .yvst window
 // reader, closing the loop the 1M benchmark depends on: store → windowed
-// ingest → sharded blocking → spilled scoring.
+// ingest → mining-sharded blocking → spilled scoring.
 func TestStreamFromStore(t *testing.T) {
 	g := equivDataset(t, 150, 1944)
 	base := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
@@ -268,7 +240,6 @@ func TestStreamFromStore(t *testing.T) {
 	defer src.Close()
 
 	opts := StreamOptions{Options: base}
-	opts.Blocking.Shards = 2
 	opts.Blocking.MineShards = 2
 	opts.Blocking.SpillPairs = 64
 	opts.Blocking.SpillDir = t.TempDir()

@@ -38,39 +38,30 @@ func TestTraceCanonicalEquivalence(t *testing.T) {
 	base := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
 
 	var want, wantLabel string
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 2, 8} {
-			for _, mineShards := range []int{1, 4} {
-				// The block cache rides the matrix as a fourth dimension:
-				// its hit counts are volatile span attrs, so cached and
-				// uncached runs must emit the same canonical bytes.
-				for _, blockCache := range []int{0, mfiblocks.DefaultBlockCache} {
-					label := fmt.Sprintf("shards=%d mineShards=%d workers=%d cache=%d", shards, mineShards, workers, blockCache)
-					opts := StreamOptions{Options: base}
-					opts.Workers = workers
-					opts.Blocking.Workers = workers
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.BlockCache = blockCache
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					opts.Trace = trace.New()
-					res, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if res.Blocking.Spill.Stats().Runs == 0 {
-						t.Fatalf("%s: spill never flushed; the matrix is not exercising spill spans", label)
-					}
-					got := canonicalJSON(t, res)
-					if want == "" {
-						want, wantLabel = got, label
-						continue
-					}
-					if got != want {
-						t.Errorf("canonical trees diverge: %s vs %s\n%s\nvs\n%s", wantLabel, label, want, got)
-					}
-				}
+	for _, workers := range []int{1, 2, 8} {
+		for _, mineShards := range []int{1, 4} {
+			label := fmt.Sprintf("mineShards=%d workers=%d", mineShards, workers)
+			opts := StreamOptions{Options: base}
+			opts.Workers = workers
+			opts.Blocking.Workers = workers
+			opts.Blocking.MineShards = mineShards
+			opts.Blocking.SpillPairs = 64
+			opts.Blocking.SpillDir = t.TempDir()
+			opts.Trace = trace.New()
+			res, err := RunStream(opts, NewCollectionSource(g.Collection))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Blocking.Spill.Stats().Runs == 0 {
+				t.Fatalf("%s: spill never flushed; the matrix is not exercising spill spans", label)
+			}
+			got := canonicalJSON(t, res)
+			if want == "" {
+				want, wantLabel = got, label
+				continue
+			}
+			if got != want {
+				t.Errorf("canonical trees diverge: %s vs %s\n%s\nvs\n%s", wantLabel, label, want, got)
 			}
 		}
 	}
@@ -162,7 +153,7 @@ func TestStreamReportSpillStats(t *testing.T) {
 	defer src.Close()
 
 	opts := StreamOptions{Options: Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}}
-	opts.Blocking.Shards = 2
+	opts.Blocking.MineShards = 2
 	opts.Blocking.SpillPairs = 64
 	opts.Blocking.SpillDir = t.TempDir()
 	res, err := RunStream(opts, src)

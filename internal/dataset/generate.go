@@ -155,7 +155,16 @@ func makeLists(rng *rand.Rand, cfg Config, persons []*Person) map[gazetteer.Comm
 	}
 	lists := make(map[gazetteer.Community][]*victimList)
 	seq := 0
-	for comm, count := range perComm {
+	// Communities draw their list patterns in configuration order: map
+	// order would hand each community a different slice of the RNG
+	// stream on every call, so one seed would give different datasets.
+	for _, cw := range cfg.Communities {
+		comm := cw.Comm
+		count := perComm[comm]
+		if count == 0 {
+			continue
+		}
+		delete(perComm, comm) // a community listed twice gets one pool
 		expected := float64(count) * meanReports * (1 - cfg.TestimonyFraction)
 		n := cfg.ListCount
 		if n == 0 {

@@ -8,24 +8,20 @@ import (
 )
 
 // BlockBench exposes one iteration's block-materialization hot paths —
-// the merge-based cluster-Jaccard scorer and the cached/uncached
-// buildBlocks loop — to cmd/yvbench -bench-blocking without exporting
-// the engine internals. It freezes the mined MFIs of one minsup level so
-// repeated calls measure exactly the same work.
+// the merge-based cluster-Jaccard scorer and the buildBlocks pool — to
+// cmd/yvbench -bench-blocking without exporting the engine internals. It
+// freezes the mined MFIs of one minsup level so repeated calls measure
+// exactly the same work.
 type BlockBench struct {
 	cfg    Config
 	sc     *scorer
 	index  *fpgrowth.Index
 	mfis   []fpgrowth.Itemset
 	minsup int
-	cache  *blockCache
 }
 
 // NewBlockBench encodes the collection, mines the MFIs at minsup, and
-// returns the frozen benchmark state. The cache used by
-// BuildBlocks(true) is bounded at cfg.BlockCache (DefaultBlockCache
-// when unset) and persists across calls, so every call after the first
-// measures the hit path.
+// returns the frozen benchmark state.
 func NewBlockBench(cfg Config, coll *record.Collection, minsup int) (*BlockBench, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -37,17 +33,12 @@ func NewBlockBench(cfg Config, coll *record.Collection, minsup int) (*BlockBench
 	if len(mfis) == 0 {
 		return nil, fmt.Errorf("mfiblocks: bench mined no MFIs at minsup=%d", minsup)
 	}
-	size := cfg.BlockCache
-	if size == 0 {
-		size = DefaultBlockCache
-	}
 	return &BlockBench{
 		cfg:    cfg,
 		sc:     newScorer(&cfg, corpus.Dict, corpus.Txns, corpus.Records),
 		index:  miner.BuildIndex(),
 		mfis:   mfis,
 		minsup: minsup,
-		cache:  newBlockCache(size),
 	}, nil
 }
 
@@ -72,13 +63,7 @@ func (b *BlockBench) Score(members []int) float64 { return b.sc.score(members) }
 
 // BuildBlocks materializes, caps, and scores every frozen MFI through
 // the engine's buildBlocks pool and returns the surviving block count.
-// useCache routes the calls through the persistent cross-iteration
-// cache; false measures the cold path every time.
-func (b *BlockBench) BuildBlocks(useCache bool) int {
-	cache := b.cache
-	if !useCache {
-		cache = nil
-	}
-	blocks, _ := buildBlocks(&b.cfg, b.sc, b.index, cache, b.mfis, b.minsup)
+func (b *BlockBench) BuildBlocks() int {
+	blocks, _ := buildBlocks(&b.cfg, b.sc, b.index, b.mfis, b.minsup)
 	return len(blocks)
 }

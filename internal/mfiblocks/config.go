@@ -50,16 +50,7 @@ type Config struct {
 	// 0 means GOMAXPROCS, 1 runs the exact serial paths. Mined MFIs,
 	// blocks, and Result.Pairs are bit-identical for every worker count.
 	Workers int
-	// Shards partitions each iteration's block materialization by a
-	// deterministic signature hash of the MFI key: shard k materializes
-	// and scores only the blocks whose key hashes to k, and the per-shard
-	// outputs are merged under the engine's canonical block order. Mining
-	// stays global (itemset support and maximality are whole-corpus
-	// properties — shard-local mining would admit phantom MFIs), so the
-	// output is bit-identical for every shard count. 0 or 1 disables
-	// sharding.
-	Shards int
-	// MineShards partitions each iteration's MFI mining itself into
+	// MineShards partitions each iteration's MFI mining into
 	// shard-local miners over contiguous structural-rank ranges of one
 	// shared projection tree (fpgrowth.Miner.Shards): each shard mines
 	// only its owned top-level suffixes into its own store, and the
@@ -67,14 +58,6 @@ type Config struct {
 	// everything downstream — bit-identical for every shard count. 0 or
 	// 1 runs the single monolithic mining pass.
 	MineShards int
-	// BlockCache bounds the cross-iteration block materialization cache
-	// (total memoized blocks). The SupportSet contract materializes every
-	// block over the whole database, so an MFI key re-mined at a lower
-	// minsup yields identical members and score; the cache skips that
-	// re-materialization while the per-iteration caps are still re-applied
-	// on every hit, keeping Result.Pairs bit-identical for every cache
-	// size. 0 disables the cache; DefaultBlockCache is the CLI default.
-	BlockCache int
 	// SpillPairs, when positive, routes candidate-pair emission through a
 	// disk-spillable accumulator holding at most this many distinct pairs
 	// in memory: Result.Spill carries the merged (A, B)-sorted stream and
@@ -91,10 +74,10 @@ type Config struct {
 	// and fpgrowth_* families); nil falls back to telemetry.Default().
 	Metrics *telemetry.Registry
 	// Trace, when set, parents the blocking stage's per-iteration,
-	// per-shard, and miner spans. Nil traces nothing.
+	// build_blocks, and miner spans. Nil traces nothing.
 	Trace *trace.Span
-	// Progress, when set, receives live item counts and shard
-	// completions from the minsup loop. Nil disables.
+	// Progress, when set, receives live covered-record counts from the
+	// minsup loop. Nil disables.
 	Progress *trace.Progress
 }
 
@@ -134,14 +117,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mfiblocks: PruneFraction %v out of [0,1)", c.PruneFraction)
 	case c.ExpertSim && c.Geo == nil:
 		return fmt.Errorf("mfiblocks: ExpertSim requires Geo")
-	case c.Shards < 0:
-		return fmt.Errorf("mfiblocks: Shards must be >= 0, got %d", c.Shards)
 	case c.MineShards < 0:
 		return fmt.Errorf("mfiblocks: MineShards must be >= 0, got %d", c.MineShards)
 	case c.SpillPairs < 0:
 		return fmt.Errorf("mfiblocks: SpillPairs must be >= 0, got %d", c.SpillPairs)
-	case c.BlockCache < 0:
-		return fmt.Errorf("mfiblocks: BlockCache must be >= 0, got %d", c.BlockCache)
 	}
 	return nil
 }

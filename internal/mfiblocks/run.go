@@ -5,9 +5,9 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"repro/internal/fpgrowth"
@@ -48,11 +48,6 @@ type Result struct {
 	// the merged stream — every distinct pair once, ascending by (A, B),
 	// with its best block score — and own closing it.
 	Spill *spill.Pairs
-	// Cache holds the cross-iteration block cache's counters (all zero
-	// when Config.BlockCache is 0). Cache state never changes Blocks,
-	// Pairs, or any other field — only how much work materializing them
-	// took.
-	Cache BlockCacheStats
 }
 
 // IterationStats captures one minsup level of Algorithm 1.
@@ -101,12 +96,15 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	miner.Metrics = reg
 	miner.Workers = cfg.Workers
 	miner.Shards = cfg.MineShards
+	// Every test binary audits sharded mining: the equivalence suites
+	// then fail on a shard-merge support error at the iteration that
+	// made it, not only on a diverging final output.
+	miner.SelfVerify = testing.Testing()
 	if cfg.PruneFraction > 0 {
 		miner.Prune(dict.MostFrequent(cfg.PruneFraction))
 	}
 	index := miner.BuildIndex()
 	sc := newScorer(&cfg, dict, txns, corpus.Records)
-	cache := newBlockCache(cfg.BlockCache)
 
 	res := &Result{Covered: make([]bool, n)}
 	var sink *spill.Pairs
@@ -156,7 +154,11 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 
 		miner.Trace = iterSpan
 		mfis := miner.MineMaximalFreq(minsup, active, freq)
-		blocks, csPruned := buildBlocksSharded(&cfg, sc, index, cache, mfis, minsup, reg, iterSpan)
+		// yvperf's mfiblocks.build_blocks_s sums this op span.
+		bsp := iterSpan.Child("build_blocks", trace.WithKind(trace.KindOp)).
+			Attr("mfis", int64(len(mfis)))
+		blocks, csPruned := buildBlocks(&cfg, sc, index, mfis, minsup)
+		bsp.Attr("blocks", int64(len(blocks))).End()
 
 		// Enforce the sparse-neighborhood condition for this iteration:
 		// every record admits blocks best-first while its distinct
@@ -258,12 +260,6 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 			reg.Counter("mfiblocks_pairs_total").Add(int64(np))
 		}
 	}
-	if cache != nil {
-		res.Cache = cache.Stats()
-		reg.Counter("mfiblocks_block_cache_hits_total").Add(res.Cache.Hits)
-		reg.Counter("mfiblocks_block_cache_misses_total").Add(res.Cache.Misses)
-		reg.Counter("mfiblocks_block_cache_evictions_total").Add(res.Cache.Evictions)
-	}
 	return res, nil
 }
 
@@ -356,67 +352,15 @@ func (e *spillEmitter) wait() error {
 	return e.err
 }
 
-// materializeRange materializes, caps, and scores mfis[lo:hi] into
-// out[lo:hi] — the inner loop both the unsharded pool and the parallel
-// shard scheduler share. scratch is the calling goroutine's reusable
-// SupportSet buffer: supports materialize into it allocation-free, and
-// only admitted blocks copy out an exact-size member slice, so the
-// pruned giants that used to spike RSS never allocate at all. Returns
-// the compact-set prune count for the range.
-//
-// The cache path is exact, not approximate: every block is materialized
-// over the whole database (the SupportSet contract), so a key's members
-// and score are invariants across iterations, while everything
-// minsup-dependent — the mined-support pre-filter, the < 2 floor, and
-// the compact-set cap — is re-checked here on every hit. A nil cache
-// disables memoization with no other change.
-func materializeRange(sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, lo, hi, minsup, maxSize int, out []*Block, scratch *[]int) int64 {
-	pruned := int64(0)
-	buf := *scratch
-	for k := lo; k < hi; k++ {
-		// Mining runs over the still-active subset, so the mined
-		// support lower-bounds the whole-DB support the cap is
-		// checked against: Support > maxSize already implies the
-		// materialized set would be pruned.
-		if mfis[k].Support > maxSize {
-			pruned++
-			continue
-		}
-		if members, score, ok := cache.get(mfis[k].Items); ok {
-			if len(members) < 2 {
-				continue
-			}
-			if len(members) > maxSize {
-				pruned++
-				continue
-			}
-			out[k] = &Block{Key: mfis[k].Items, Members: members, Score: score, MinSup: minsup}
-			continue
-		}
-		buf = index.AppendSupportSet(mfis[k].Items, buf[:0])
-		if len(buf) < 2 {
-			continue
-		}
-		if len(buf) > maxSize {
-			pruned++
-			continue
-		}
-		members := make([]int, len(buf))
-		copy(members, buf)
-		score := sc.score(members)
-		cache.put(mfis[k].Items, members, score)
-		out[k] = &Block{Key: mfis[k].Items, Members: members, Score: score, MinSup: minsup}
-	}
-	*scratch = buf
-	return pruned
-}
-
 // buildBlocks materializes and scores the MFI supports in parallel,
 // dropping blocks that are too small (<2) or exceed the compact-set
 // cap. It also reports how many blocks the compact-set cap pruned.
 // Every block is materialized over the whole database (the SupportSet
-// contract): coverage never masks a record out of a new block.
-func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int) ([]*Block, int) {
+// contract): coverage never masks a record out of a new block. Each
+// worker owns one contiguous chunk of mfis and fills its slots of a
+// shared output array, so the surviving blocks come back in MFI order
+// for every worker count.
+func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth.Itemset, minsup int) ([]*Block, int) {
 	maxSize := int(float64(minsup) * cfg.P)
 	out := make([]*Block, len(mfis))
 	var csPruned atomic.Int64
@@ -431,8 +375,7 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCac
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var scratch []int
-			csPruned.Add(materializeRange(sc, index, cache, mfis, lo, hi, minsup, maxSize, out, &scratch))
+			csPruned.Add(materializeRange(sc, index, mfis[lo:hi], minsup, maxSize, out[lo:hi]))
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -445,165 +388,36 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCac
 	return blocks, int(csPruned.Load())
 }
 
-// shardOf assigns an MFI key to one of shards partitions by FNV-1a over
-// its item ids. The hash depends only on the key's content, so a block
-// lands in the same shard in every run and for every worker count.
-func shardOf(key []int, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, it := range key {
-		v := uint64(it)
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xFF
-			h *= prime64
-		}
-	}
-	return int(h % uint64(shards))
-}
-
-// buildBlocksSharded partitions one iteration's MFIs into signature
-// shards and materializes all shards concurrently under one bounded
-// worker budget (cfg.workers() goroutines total — shards no longer run
-// sequentially, each spinning its own pool). Each shard still fills its
-// own deterministic output slot array and per-shard wall clock is still
-// recorded (as completion latency, since shards now overlap). Mining is
-// global, so each MFI's support set — and therefore its block — is
-// identical to the unsharded run's; the merge is plain concatenation in
-// shard order because enforceNG re-sorts every iteration's blocks under
-// a total order, making the downstream outcome independent of block
-// arrival order. Shards <= 1 takes the direct path.
-func buildBlocksSharded(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int, reg *telemetry.Registry, parent *trace.Span) ([]*Block, int) {
-	// The build_blocks op span exists for every shard count (shard spans
-	// nest under it): Canonical trees prune the KindShard children, so a
-	// sharded and an unsharded run canonicalize identically. The cache
-	// attrs are volatile — hit counts vary across cache sizes and with
-	// eviction timing, so Canonical drops them too.
-	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
-		Attr("mfis", int64(len(mfis)))
-	var hits0, misses0 int64
-	if cache != nil {
-		st := cache.Stats()
-		hits0, misses0 = st.Hits, st.Misses
-	}
-	finish := func(blocks []*Block) {
-		if cache != nil {
-			st := cache.Stats()
-			bsp.VolatileAttr("cache_hits", st.Hits-hits0).
-				VolatileAttr("cache_misses", st.Misses-misses0)
-		}
-		bsp.Attr("blocks", int64(len(blocks))).End()
-	}
-	if cfg.Shards <= 1 {
-		blocks, csPruned := buildBlocks(cfg, sc, index, cache, mfis, minsup)
-		finish(blocks)
-		return blocks, csPruned
-	}
-	parts := make([][]fpgrowth.Itemset, cfg.Shards)
-	for _, m := range mfis {
-		s := shardOf(m.Items, cfg.Shards)
-		parts[s] = append(parts[s], m)
-	}
-
-	maxSize := int(float64(minsup) * cfg.P)
-	workers := cfg.workers()
-	// Per-shard state: a deterministic output slot array, the shard's
-	// remaining chunk count, and its span/clock. Shard spans are created
-	// upfront in shard order so the Full tree's sibling order stays
-	// deterministic; the worker finishing a shard's last chunk closes its
-	// span and observes its timer.
-	type shardState struct {
-		out     []*Block
-		pruned  atomic.Int64
-		pending atomic.Int32
-		span    *trace.Span
-		start   time.Time
-	}
-	type chunkTask struct {
-		shard, lo, hi int
-	}
-	states := make([]*shardState, len(parts))
-	var tasks []chunkTask
-	doneShards := 0
-	for si, part := range parts {
-		if len(part) == 0 {
-			doneShards++
+// materializeRange materializes, caps, and scores mfis into the
+// matching slots of out. Supports materialize into one reusable buffer
+// allocation-free, and only admitted blocks copy out an exact-size
+// member slice, so the pruned giants that used to spike RSS never
+// allocate at all. Returns the compact-set prune count for the range.
+func materializeRange(sc *scorer, index *fpgrowth.Index, mfis []fpgrowth.Itemset, minsup, maxSize int, out []*Block) int64 {
+	pruned := int64(0)
+	var buf []int
+	for k, m := range mfis {
+		// Mining runs over the still-active subset, so the mined
+		// support lower-bounds the whole-DB support the cap is
+		// checked against: Support > maxSize already implies the
+		// materialized set would be pruned.
+		if m.Support > maxSize {
+			pruned++
 			continue
 		}
-		st := &shardState{
-			out:   make([]*Block, len(part)),
-			start: time.Now(),
-			span: bsp.Child("shard", trace.WithKind(trace.KindShard)).
-				Attr("shard", int64(si)).
-				Attr("mfis", int64(len(part))),
-		}
-		chunk := (len(part) + workers - 1) / workers
-		nchunks := 0
-		for lo := 0; lo < len(part); lo += chunk {
-			hi := lo + chunk
-			if hi > len(part) {
-				hi = len(part)
-			}
-			tasks = append(tasks, chunkTask{si, lo, hi})
-			nchunks++
-		}
-		st.pending.Store(int32(nchunks))
-		states[si] = st
-	}
-	cfg.Progress.Shards(doneShards, len(parts))
-
-	var shardsDone atomic.Int32
-	shardsDone.Store(int32(doneShards))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []int
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := tasks[i]
-				st := states[t.shard]
-				st.pruned.Add(materializeRange(sc, index, cache, parts[t.shard], t.lo, t.hi, minsup, maxSize, st.out, &scratch))
-				if st.pending.Add(-1) == 0 {
-					// Last chunk of the shard: the decrement chain orders
-					// every chunk's slot writes before this read.
-					nblocks := 0
-					for _, b := range st.out {
-						if b != nil {
-							nblocks++
-						}
-					}
-					st.span.Attr("blocks", int64(nblocks)).End()
-					reg.Timer("mfiblocks_shard_seconds", telemetry.L("shard", strconv.Itoa(t.shard))).Observe(time.Since(st.start))
-					cfg.Progress.Shards(int(shardsDone.Add(1)), len(parts))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var blocks []*Block
-	csPruned := 0
-	for _, st := range states {
-		if st == nil {
+		buf = index.AppendSupportSet(m.Items, buf[:0])
+		if len(buf) < 2 {
 			continue
 		}
-		for _, b := range st.out {
-			if b != nil {
-				blocks = append(blocks, b)
-			}
+		if len(buf) > maxSize {
+			pruned++
+			continue
 		}
-		csPruned += int(st.pruned.Load())
+		members := make([]int, len(buf))
+		copy(members, buf)
+		out[k] = &Block{Key: m.Items, Members: members, Score: sc.score(members), MinSup: minsup}
 	}
-	finish(blocks)
-	return blocks, csPruned
+	return pruned
 }
 
 // enforceNG applies the sparse-neighborhood condition: blocks are

@@ -8,102 +8,6 @@ import (
 	"repro/internal/record"
 )
 
-// stripElapsed zeroes the wall-clock field so iteration stats compare
-// structurally.
-func stripElapsed(stats []IterationStats) []IterationStats {
-	out := append([]IterationStats(nil), stats...)
-	for i := range out {
-		out[i].Elapsed = 0
-	}
-	return out
-}
-
-// TestRunShardedBitIdentical is the engine-level half of the sharding
-// contract: for every shard count, Blocks, Pairs, PairScores, PairBlocks,
-// Covered, and the per-iteration statistics are bit-identical to the
-// unsharded run — not merely set-equal.
-func TestRunShardedBitIdentical(t *testing.T) {
-	g := smallItaly(t, 400)
-	base := NewConfig()
-	want, err := Run(base, g.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Pairs) == 0 {
-		t.Fatal("baseline produced no pairs")
-	}
-
-	for _, shards := range []int{1, 2, 3, 8, 64} {
-		for _, workers := range []int{1, 8} {
-			cfg := NewConfig()
-			cfg.Shards = shards
-			cfg.Workers = workers
-			got, err := Run(cfg, g.Collection)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if !reflect.DeepEqual(want.Pairs, got.Pairs) {
-				t.Fatalf("shards=%d workers=%d: Pairs diverge (%d vs %d)",
-					shards, workers, len(got.Pairs), len(want.Pairs))
-			}
-			if !reflect.DeepEqual(want.PairScores, got.PairScores) {
-				t.Fatalf("shards=%d workers=%d: PairScores diverge", shards, workers)
-			}
-			if !reflect.DeepEqual(want.PairBlocks, got.PairBlocks) {
-				t.Fatalf("shards=%d workers=%d: PairBlocks diverge", shards, workers)
-			}
-			if !reflect.DeepEqual(want.Blocks, got.Blocks) {
-				t.Fatalf("shards=%d workers=%d: Blocks diverge", shards, workers)
-			}
-			if !reflect.DeepEqual(want.Covered, got.Covered) {
-				t.Fatalf("shards=%d workers=%d: Covered diverges", shards, workers)
-			}
-			if !reflect.DeepEqual(stripElapsed(want.Iterations), stripElapsed(got.Iterations)) {
-				t.Fatalf("shards=%d workers=%d: iteration stats diverge", shards, workers)
-			}
-		}
-	}
-}
-
-// TestRunShardedDeterministicUnderTies reruns the tie-heavy fixture
-// sharded: score collisions that cross shard boundaries must still
-// resolve through the canonical block order, identically on every run.
-func TestRunShardedDeterministicUnderTies(t *testing.T) {
-	coll := tieHeavyCollection(t)
-	cfg := NewConfig()
-	cfg.PruneFraction = 0
-	cfg.Shards = 8
-
-	first, err := Run(cfg, coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Pairs) == 0 {
-		t.Fatal("tie-heavy collection produced no pairs")
-	}
-	mono := cfg
-	mono.Shards = 0
-	base, err := Run(mono, coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Pairs, first.Pairs) {
-		t.Fatal("sharded tie-heavy Pairs diverge from monolithic")
-	}
-	for run := 0; run < 3; run++ {
-		again, err := Run(cfg, coll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first.Pairs, again.Pairs) {
-			t.Fatalf("run %d: sharded Pairs not reproducible", run)
-		}
-		if !reflect.DeepEqual(first.PairScores, again.PairScores) {
-			t.Fatalf("run %d: sharded PairScores not reproducible", run)
-		}
-	}
-}
-
 // drainSpill collects a spill result's merged stream.
 func drainSpill(t *testing.T, res *Result) map[record.Pair]float64 {
 	t.Helper()
@@ -142,7 +46,7 @@ func TestRunSpillMatchesInMemory(t *testing.T) {
 		cfg := NewConfig()
 		cfg.SpillPairs = capEntries
 		cfg.SpillDir = t.TempDir()
-		cfg.Shards = 4 // spill and sharding compose
+		cfg.MineShards = 4 // spill and mining shards compose
 		res, err := Run(cfg, g.Collection)
 		if err != nil {
 			t.Fatal(err)
@@ -229,32 +133,13 @@ func TestCorpusValidate(t *testing.T) {
 	}
 }
 
-// TestShardOfStable pins the signature hash: values must not drift, or a
-// resumed pipeline would re-partition mid-run.
-func TestShardOfStable(t *testing.T) {
-	if s := shardOf([]int{1, 2, 3}, 8); s != shardOf([]int{1, 2, 3}, 8) {
-		t.Fatal("shardOf not deterministic")
-	}
-	seen := make(map[int]bool)
-	for i := 0; i < 256; i++ {
-		s := shardOf([]int{i, i * 31}, 8)
-		if s < 0 || s >= 8 {
-			t.Fatalf("shard %d out of range", s)
-		}
-		seen[s] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("only %d of 8 shards populated over 256 keys", len(seen))
-	}
-}
-
-// TestConfigValidateShardSpill extends the validation table to the new
-// knobs.
+// TestConfigValidateShardSpill extends the validation table to the
+// mining-shard and spill knobs.
 func TestConfigValidateShardSpill(t *testing.T) {
 	cfg := NewConfig()
-	cfg.Shards = -1
+	cfg.MineShards = -1
 	if err := cfg.Validate(); err == nil {
-		t.Error("negative Shards accepted")
+		t.Error("negative MineShards accepted")
 	}
 	cfg = NewConfig()
 	cfg.SpillPairs = -1
@@ -262,7 +147,7 @@ func TestConfigValidateShardSpill(t *testing.T) {
 		t.Error("negative SpillPairs accepted")
 	}
 	cfg = NewConfig()
-	cfg.Shards = 8
+	cfg.MineShards = 8
 	cfg.SpillPairs = 1024
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid sharded spill config rejected: %v", err)

@@ -45,8 +45,8 @@ func workerCollection(t *testing.T) *record.Collection {
 }
 
 // TestRunWorkerCountInvariance is the acceptance check from the blocking
-// engine rework: Result.Pairs, PairScores, Covered, and the per-iteration
-// stats must be bit-identical across every Workers setting.
+// engine rework: Blocks, Pairs, PairScores, PairBlocks, Covered, and the
+// per-iteration stats must be bit-identical across every Workers setting.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	coll := workerCollection(t)
 	cfg := NewConfig()
@@ -73,6 +73,12 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want.PairScores, got.PairScores) {
 			t.Fatalf("workers=%d: PairScores diverge", workers)
+		}
+		if !reflect.DeepEqual(want.PairBlocks, got.PairBlocks) {
+			t.Fatalf("workers=%d: PairBlocks diverge", workers)
+		}
+		if !reflect.DeepEqual(want.Blocks, got.Blocks) {
+			t.Fatalf("workers=%d: Blocks diverge", workers)
 		}
 		if !reflect.DeepEqual(want.Covered, got.Covered) {
 			t.Fatalf("workers=%d: Covered diverges", workers)

@@ -59,13 +59,6 @@ type BlockingReport struct {
 	SpilledBytes   int64             `json:"spilled_bytes,omitempty"`
 	MergedEntries  int64             `json:"merged_entries,omitempty"`
 	MergedBytes    int64             `json:"merged_bytes,omitempty"`
-	// Cache* describe the cross-iteration block materialization cache
-	// (all zero when it is disabled). Cache state never changes blocks
-	// or pairs — these are efficiency signals only.
-	CacheHits      int64 `json:"cache_hits,omitempty"`
-	CacheMisses    int64 `json:"cache_misses,omitempty"`
-	CacheEvictions int64 `json:"cache_evictions,omitempty"`
-	CacheEntries   int   `json:"cache_entries,omitempty"`
 }
 
 // IterationReport is one minsup level of the MFIBlocks loop.

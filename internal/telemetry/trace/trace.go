@@ -59,7 +59,8 @@ const (
 	KindStage
 	// KindIteration is one minsup level of the MFIBlocks loop.
 	KindIteration
-	// KindShard is one signature shard's block materialization.
+	// KindShard is one mining shard's pass over its owned suffixes of the
+	// shared projection tree (fpgrowth.Miner.Shards).
 	KindShard
 	// KindWorker is one goroutine's share of a parallel fan-out.
 	KindWorker
@@ -114,16 +115,10 @@ func kindOf(s string) Kind {
 
 // Attr is one integer attribute on a span: records, candidates, MFIs,
 // spill runs, bytes. Integer-only keeps attributes deterministic and
-// the export compact; durations live on the span itself. Volatile
-// attributes carry values that legitimately vary across equivalent
-// runs (cache hit counts, scheduling artifacts): Full trees and the
-// Chrome export keep them, Canonical trees drop them so the
-// equivalence suite can compare traces across cache and fan-out
-// configurations.
+// the export compact; durations live on the span itself.
 type Attr struct {
-	Key      string
-	Value    int64
-	Volatile bool
+	Key   string
+	Value int64
 }
 
 // Span is one timed node of the run's hierarchy. Create with
@@ -217,18 +212,6 @@ func (s *Span) Attr(key string, value int64) *Span {
 		return nil
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	return s
-}
-
-// VolatileAttr records one integer attribute excluded from Canonical
-// trees. Use it for values that depend on cache state or scheduling —
-// anything two equivalent runs may legitimately disagree on. Same
-// ownership rule as Attr.
-func (s *Span) VolatileAttr(key string, value int64) *Span {
-	if s == nil {
-		return nil
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value, Volatile: true})
 	return s
 }
 

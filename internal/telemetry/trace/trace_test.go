@@ -40,7 +40,6 @@ func TestNilSafety(t *testing.T) {
 	var p *Progress
 	p.Stage("ingest", 10)
 	p.Add(5)
-	p.Shards(1, 4)
 	p.Start()
 	p.Stop()
 	var st *SpanTree

@@ -61,9 +61,6 @@ func (t *Tracer) Tree(mode TreeMode) *SpanTree {
 			DurationNS: s.endOrNow() - s.start,
 		}
 		for _, a := range s.attrs {
-			if mode == Canonical && a.Volatile {
-				continue
-			}
 			if n.Attrs == nil {
 				n.Attrs = make(map[string]int64, len(s.attrs))
 			}
